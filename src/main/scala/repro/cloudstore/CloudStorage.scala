@@ -1,6 +1,6 @@
 package repro.cloudstore
 
-import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.{ConcurrentHashMap, CopyOnWriteArrayList}
 import scala.jdk.CollectionConverters._
 
 /** One byte-range request against a named blob — the unit of the paper's
@@ -62,13 +62,14 @@ trait CloudStorage {
 
 object CloudStorage {
   private val registry = new ConcurrentHashMap[String, CloudStorage]()
+  private val listeners = new CopyOnWriteArrayList[String => Unit]()
 
   /** Register a store under a bucket name so executor-side code (e.g. the
     * DataSourceV2 partition readers running in local-mode task threads)
     * can reach the same instance.
     */
   def register(bucket: String, store: CloudStorage): CloudStorage = {
-    registry.put(bucket, store); store
+    registry.put(bucket, store); changed(bucket); store
   }
 
   def named(bucket: String): CloudStorage = {
@@ -78,5 +79,12 @@ object CloudStorage {
     s
   }
 
-  def unregister(bucket: String): Unit = registry.remove(bucket)
+  def unregister(bucket: String): Unit = { registry.remove(bucket); changed(bucket) }
+
+  /** Call `f(bucket)` after every later (re-)registration or removal of a
+    * bucket, so state built on the old store can be dropped.
+    */
+  def onChange(f: String => Unit): Unit = listeners.add(f)
+
+  private def changed(bucket: String): Unit = listeners.forEach(f => f(bucket))
 }

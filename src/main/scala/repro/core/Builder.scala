@@ -147,6 +147,7 @@ object Builder {
     val store = CloudStorage.named(bucket)
     val headerBlob = s"$prefix/header"
     store.put(headerBlob, mht.serialize())
+    Searcher.evict(bucket, headerBlob)
 
     val indexBytes = store.list().filter(_.startsWith(prefix + "/")).map(store.size).sum
     BuiltSketch(bucket, prefix, headerBlob, totalLayers, lStar, binsPerLayer,

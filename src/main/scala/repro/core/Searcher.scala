@@ -1,5 +1,9 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
+
+import scala.jdk.CollectionConverters._
+
 import repro.cloudstore.{CloudStorage, FetchLedger, FetchStats}
 import repro.corpus.Doc
 
@@ -111,4 +115,32 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
       w -> finalList
     }.toMap
   }
+}
+
+object Searcher {
+
+  private final case class Entry(store: CloudStorage, searcher: Searcher)
+
+  private val cache = new ConcurrentHashMap[(String, String), Entry]()
+  CloudStorage.onChange(bucket => cache.keySet.removeIf(_._1 == bucket))
+
+  /** The JVM's Searcher for `headerBlob` in the registered `bucket`: the
+    * header is downloaded and parsed on first use only, as the paper's
+    * long-lived Searcher does (§III-C0c). An entry serves only the store
+    * instance it was loaded from, so re-registering or unregistering the
+    * bucket drops it, and [[Builder.build]] evicts it when it rewrites the
+    * header.
+    */
+  def shared(bucket: String, headerBlob: String): Searcher = {
+    val store = CloudStorage.named(bucket)
+    cache.compute((bucket, headerBlob), (_, e) =>
+      if (e != null && (e.store eq store)) e else Entry(store, new Searcher(store, headerBlob))
+    ).searcher
+  }
+
+  /** Forget the shared Searcher of (bucket, header), e.g. after a rebuild. */
+  def evict(bucket: String, headerBlob: String): Unit = cache.remove((bucket, headerBlob))
+
+  /** Stores the shared Searchers currently hold (for tests). */
+  private[repro] def sharedStores: Seq[CloudStorage] = cache.values.asScala.map(_.store).toSeq
 }

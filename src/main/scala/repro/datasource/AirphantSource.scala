@@ -1,5 +1,6 @@
 package repro.datasource
 
+import java.nio.charset.StandardCharsets
 import java.util
 
 import org.apache.spark.sql.catalyst.InternalRow
@@ -32,9 +33,17 @@ import scala.jdk.CollectionConverters._
   * blob), which is also how §IV-F's RegEx/N-gram filtering would consume
   * it.
   *
+  * A keyword query therefore costs the paper's two round trips: input
+  * partitions are planned once per `Scan` (Spark's copies of the scan node
+  * share them), and the header is read through [[Searcher.shared]], so it
+  * is downloaded and parsed once per (bucket, header) per JVM. Rebuilding
+  * the index evicts that entry, and re-registering or unregistering the
+  * bucket drops it.
+  *
   * Required options: `bucket` (a [[CloudStorage.named]] registration) and
   * `header` (the sketch's header blob). Optional: `keyword` (alternative
-  * to a pushed filter), `sliceDocs` (max documents per input partition).
+  * to a pushed filter), `sliceDocs` (max documents per input partition,
+  * default 512). Option names are case-insensitive.
   *
   * Pushed filters are still re-evaluated by Spark above the scan (we
   * return them as residuals), so correctness never depends on the index —
@@ -68,14 +77,14 @@ private[datasource] class AirphantTable extends Table with SupportsRead {
   override def capabilities(): util.Set[TableCapability] =
     Set(TableCapability.BATCH_READ).asJava
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
-    new AirphantScanBuilder(options.asCaseSensitiveMap().asScala.toMap)
+    new AirphantScanBuilder(options)
 }
 
-private[datasource] class AirphantScanBuilder(options: Map[String, String])
+private[datasource] class AirphantScanBuilder(options: CaseInsensitiveStringMap)
     extends ScanBuilder with SupportsPushDownFilters {
 
   private var keywords: Option[Seq[String]] =
-    options.get("keyword").map(_.split(",").toSeq.map(_.trim).filter(_.nonEmpty))
+    Option(options.get("keyword")).map(_.split(",").toSeq.map(_.trim).filter(_.nonEmpty))
   private var pushed: Array[Filter] = Array.empty
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
@@ -99,10 +108,10 @@ private[datasource] class AirphantScanBuilder(options: Map[String, String])
   override def pushedFilters(): Array[Filter] = pushed
 
   override def build(): Scan = {
-    val bucket = options.getOrElse("bucket", sys.error("airphant source: missing 'bucket'"))
-    val header = options.getOrElse("header", sys.error("airphant source: missing 'header'"))
-    val slice = options.getOrElse("slicedocs", "512").toInt
-    new AirphantScan(bucket, header, keywords, slice)
+    def required(key: String): String =
+      Option(options.get(key)).getOrElse(sys.error(s"airphant source: missing '$key'"))
+    new AirphantScan(required("bucket"), required("header"), keywords,
+                     options.getInt("sliceDocs", 512))
   }
 }
 
@@ -113,24 +122,32 @@ private[datasource] class AirphantScan(bucket: String, header: String,
   override def readSchema(): StructType = AirphantSource.schema
   override def toBatch: Batch = this
 
-  override def planInputPartitions(): Array[InputPartition] = keywords match {
-    case Some(kws) =>
-      // Driver-side: ONE concurrent superpost batch for all keywords.
-      val store = CloudStorage.named(bucket)
-      val searcher = new Searcher(store, header)
-      val perWord = searcher.lookupBatch(kws.distinct, new FetchLedger)
-      val docBlobs = searcher.mht.docBlobs
-      perWord.toSeq.sortBy(_._1).flatMap { case (w, postings) =>
-        postings.grouped(sliceDocs).map { chunk =>
-          KeywordPartition(bucket, w, docBlobs, chunk.toArray): InputPartition
-        }
-      }.toArray
-    case None =>
-      // Full corpus scan: one partition per document blob.
-      val store = CloudStorage.named(bucket)
-      val searcher = new Searcher(store, header)
-      searcher.mht.docBlobs.map(b => FullScanPartition(bucket, b): InputPartition).toArray
+  override def description(): String =
+    s"AirphantScan bucket=$bucket header=$header " +
+      keywords.fold("full scan")(_.mkString("keywords=[", ", ", "]"))
+
+  /** Planned once per Scan: Spark plans from copies of its scan node, and
+    * every copy must reuse the one superpost batch.
+    */
+  private lazy val partitions: Array[InputPartition] = {
+    val searcher = Searcher.shared(bucket, header)
+    val docBlobs = searcher.mht.docBlobs
+    keywords match {
+      case Some(kws) =>
+        // Driver-side: ONE concurrent superpost batch for all keywords.
+        val perWord = searcher.lookupBatch(kws.distinct, new FetchLedger)
+        perWord.toSeq.sortBy(_._1).flatMap { case (w, postings) =>
+          postings.grouped(sliceDocs).map { chunk =>
+            KeywordPartition(bucket, w, docBlobs, chunk.toArray): InputPartition
+          }
+        }.toArray
+      case None =>
+        // Full corpus scan: one partition per document blob.
+        docBlobs.map(b => FullScanPartition(bucket, b): InputPartition)
+    }
   }
+
+  override def planInputPartitions(): Array[InputPartition] = partitions
 
   override def createReaderFactory(): PartitionReaderFactory = new AirphantReaderFactory()
 }
@@ -146,48 +163,14 @@ private[datasource] final case class FullScanPartition(bucket: String, blob: Str
 
 private[datasource] class AirphantReaderFactory extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
-    partition match {
-      case p: KeywordPartition  => new KeywordReader(p)
-      case p: FullScanPartition => new FullScanReader(p)
-    }
+    new RowsReader(partition match {
+      case p: KeywordPartition  => AirphantRows.keyword(p)
+      case p: FullScanPartition => AirphantRows.fullScan(p)
+    })
 }
 
-/** Fetches its slice of candidate documents in one concurrent batch and
-  * emits only exact matches (false positives die here).
-  */
-private[datasource] class KeywordReader(p: KeywordPartition)
+private[datasource] class RowsReader(rows: Iterator[InternalRow])
     extends PartitionReader[InternalRow] {
-
-  private val rows: Iterator[InternalRow] = {
-    val store = CloudStorage.named(p.bucket)
-    val reqs = p.postings.toIndexedSeq.map(po => RangeReq(p.docBlobs(po.blobId), po.offset, po.length))
-    val bytes = store.getRangesParallel(reqs, new FetchLedger)
-    reqs.zip(bytes).iterator.collect {
-      case (req, b) if Parsers.containsWord(new String(b, "UTF-8"), p.word) =>
-        AirphantRows.row(p.word, req, new String(b, "UTF-8"))
-    }
-  }
-
-  private var current: InternalRow = _
-  override def next(): Boolean = { if (rows.hasNext) { current = rows.next(); true } else false }
-  override def get(): InternalRow = current
-  override def close(): Unit = ()
-}
-
-/** Reads one corpus blob fully, splits documents, explodes words. */
-private[datasource] class FullScanReader(p: FullScanPartition)
-    extends PartitionReader[InternalRow] {
-
-  private val rows: Iterator[InternalRow] = {
-    val store = CloudStorage.named(p.bucket)
-    val bytes = store.get(p.blob, new FetchLedger)
-    Parsers.splitBlob(bytes).iterator.flatMap { case (off, len, text) =>
-      Parsers.distinctWords(text).toSeq.sorted.iterator.map { w =>
-        AirphantRows.row(w, RangeReq(p.blob, off, len), text)
-      }
-    }
-  }
-
   private var current: InternalRow = _
   override def next(): Boolean = { if (rows.hasNext) { current = rows.next(); true } else false }
   override def get(): InternalRow = current
@@ -195,6 +178,31 @@ private[datasource] class FullScanReader(p: FullScanPartition)
 }
 
 private[datasource] object AirphantRows {
+
+  /** Fetches a slice of candidate documents in one concurrent batch and
+    * keeps only exact matches (false positives die here).
+    */
+  def keyword(p: KeywordPartition): Iterator[InternalRow] = {
+    val store = CloudStorage.named(p.bucket)
+    val reqs = p.postings.toIndexedSeq.map(po => RangeReq(p.docBlobs(po.blobId), po.offset, po.length))
+    val bytes = store.getRangesParallel(reqs, new FetchLedger)
+    reqs.iterator.zip(bytes).flatMap { case (req, b) =>
+      val text = new String(b, StandardCharsets.UTF_8)
+      if (Parsers.containsWord(text, p.word)) Some(row(p.word, req, text)) else None
+    }
+  }
+
+  /** Reads one corpus blob fully, splits documents, explodes words. */
+  def fullScan(p: FullScanPartition): Iterator[InternalRow] = {
+    val store = CloudStorage.named(p.bucket)
+    val bytes = store.get(p.blob, new FetchLedger)
+    Parsers.splitBlob(bytes).iterator.flatMap { case (off, len, text) =>
+      Parsers.distinctWords(text).toSeq.sorted.iterator.map { w =>
+        row(w, RangeReq(p.blob, off, len), text)
+      }
+    }
+  }
+
   def row(word: String, req: RangeReq, text: String): InternalRow =
     InternalRow(
       UTF8String.fromString(word),
