@@ -49,15 +49,9 @@ final class BTreeIndex(
     }
 
     def serializeLeaf(es: Seq[(String, BinPointer)]): Array[Byte] = {
-      import PostingsCodec._
       val out = new ByteArrayOutputStream()
       out.write(0) // leaf marker
-      writeVarLong(out, es.size.toLong)
-      es.foreach { case (t, p) =>
-        writeString(out, t)
-        writeVarLong(out, p.block.toLong); writeVarLong(out, p.offset.toLong)
-        writeVarLong(out, p.length.toLong)
-      }
+      PostingsCodec.writeEntries(out, es)
       out.toByteArray
     }
 
@@ -105,10 +99,7 @@ final class BTreeIndex(
 
   private def parsePage(bytes: Array[Byte]): Page = {
     val r = new PostingsCodec.Reader(java.util.Arrays.copyOfRange(bytes, 1, bytes.length))
-    if (bytes(0) == 0)
-      Leaf(Vector.fill(r.readVarInt()) {
-        (r.readString(), BinPointer(r.readVarInt(), r.readVarInt(), r.readVarInt()))
-      })
+    if (bytes(0) == 0) Leaf(r.readEntries())
     else
       Internal(Vector.fill(r.readVarInt())((r.readString(), r.readVarInt())))
   }
@@ -140,17 +131,6 @@ final class BTreeIndex(
     readPage(rootPageId, new FetchLedger)
   }
 
-  /** Last index with key <= word, or 0. */
-  private def floorIndex(keys: IndexedSeq[String], word: String): Int = {
-    if (word < keys(0)) return 0
-    var lo = 0; var hi = keys.size - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (keys(mid) <= word) lo = mid else hi = mid - 1
-    }
-    lo
-  }
-
   // ---- lookup ------------------------------------------------------------
 
   override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] = {
@@ -159,29 +139,19 @@ final class BTreeIndex(
     var result: IndexedSeq[Posting] = Vector.empty
     while (!done) page match {
       case Internal(es) =>
-        page = readPage(es(floorIndex(es.map(_._1), word))._2, ledger)
+        page = readPage(es(ExactPostings.floorIndex(es.map(_._1), word))._2, ledger)
       case Leaf(es) =>
         done = true
         es.find(_._1 == word).foreach { case (_, ptr) =>
-          val bytes = store.getRange(
-            RangeReq(built.blockBlobs(ptr.block), ptr.offset.toLong, ptr.length), ledger)
-          result = PostingsCodec.decode(bytes)
+          result = PostingsCodec.decode(store.getRange(built.rangeReq(ptr), ledger))
         }
     }
     result
   }
 
-  override def search(word: String, topK: Option[Int]): SearchResult = {
-    val ledger = new FetchLedger
-    val candidates = lookup(word, ledger)
-    val keep = DocFetcher.wordPredicate(word)
-    val r = topK match {
-      case Some(k) => DocFetcher.fetchTopK(store, built.docBlobs, candidates, keep,
-                                           k, f0 = 0.0, delta = 1e-6, ledger = ledger)
-      case None    => DocFetcher.fetchAndFilter(store, built.docBlobs, candidates, keep, ledger)
-    }
-    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
-  }
+  override def search(word: String, topK: Option[Int]): SearchResult =
+    DocFetcher.search(store, built.docBlobs, DocFetcher.wordPredicate(word), topK,
+                      f0 = 0.0, delta = 1e-6)(lookup(word, _))
 
   override def indexBytes: Long = store.size(blobName) + built.bytesOf(store)
 }

@@ -3,7 +3,7 @@ package repro.baselines
 import java.io.ByteArrayOutputStream
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{BinPointer, DocFetcher, IoUMath, Posting, PostingsCodec, SearchResult}
+import repro.core.{BinPointer, DocFetcher, Posting, PostingsCodec, SearchResult}
 
 /** Lucene-like baseline: a skip-list term index persisted on cloud
   * storage (§II-A: Lucene's term index is a skip list; §V-B0c attributes
@@ -30,76 +30,41 @@ final class SkipListIndex(
 
   override def name: String = "Lucene-like (skip list)"
 
-  /** (firstTerm, offset, length) of one block within the level below. */
-  private type LevelEntry = (String, Long, Int)
-
   // ---- build (driver-side; the dictionary is collected already) ---------
 
-  /** levelBlobs(k) holds level k's serialized blocks; level 0 = leaves. */
-  private val (levelBlobs: Vector[String], topEntries: Vector[LevelEntry]) = {
+  /** levelBlobs(k) holds level k's blocks, each an entry list; level 0 =
+    * leaves of (term, postings pointer), upper levels hold (first term,
+    * pointer to the block in the level below).
+    */
+  private val (levelBlobs: Vector[String], topEntries: Vector[(String, BinPointer)]) = {
     val blobs = Vector.newBuilder[String]
 
-    def writeLevel(blobName: String, blocks: Seq[Array[Byte]]): Vector[LevelEntry] = {
+    /** Write one level's blocks into one blob; returns each block's entry
+      * for the level above. The pointer's block field is unused: a level
+      * is one blob.
+      */
+    def writeLevel(level: Int, blocks: Seq[Seq[(String, BinPointer)]]): Vector[(String, BinPointer)] = {
       val buf = new ByteArrayOutputStream()
-      val entries = Vector.newBuilder[(Long, Int)]
-      blocks.foreach { b => entries += ((buf.size().toLong, b.length)); buf.write(b, 0, b.length) }
+      val entries = blocks.map { es =>
+        val start = buf.size()
+        PostingsCodec.writeEntries(buf, es)
+        (es.head._1, BinPointer(0, start, buf.size() - start))
+      }.toVector
+      val blobName = s"$prefix/skiplist-$level"
       store.put(blobName, buf.toByteArray)
       blobs += blobName
-      entries.result().zip(blocks).map { case ((off, len), _) => (null: String, off, len) }
+      entries
     }
 
-    // Leaf level: blocks of (term -> postings pointer).
-    val leafGroups = built.words.grouped(leafBlockSize).toVector
-    val leafBlocks = leafGroups.map { ws =>
-      serializeBlock(ws.map(w => (w, built.pointers(w))))
-    }
-    var entries = writeLevel(s"$prefix/skiplist-0", leafBlocks)
-      .zip(leafGroups).map { case ((_, off, len), ws) => (ws.head, off, len) }
-
+    val leaves = built.words.toSeq.map(w => (w, built.pointers(w)))
+    var entries = writeLevel(0, leaves.grouped(leafBlockSize).toSeq)
     // Upper levels until the directory fits in memory.
     var level = 1
     while (entries.size > fanout) {
-      val groups = entries.grouped(fanout).toVector
-      val blocks = groups.map { es =>
-        serializeBlock(es.map { case (t, off, len) =>
-          (t, BinPointer(0, off.toInt, len)) // block field unused at upper levels
-        })
-      }
-      entries = writeLevel(s"$prefix/skiplist-$level", blocks)
-        .zip(groups).map { case ((_, off, len), es) => (es.head._1, off, len) }
+      entries = writeLevel(level, entries.grouped(fanout).toSeq)
       level += 1
     }
     (blobs.result(), entries)
-  }
-
-  private def serializeBlock(entries: Seq[(String, BinPointer)]): Array[Byte] = {
-    import PostingsCodec._
-    val out = new ByteArrayOutputStream()
-    writeVarLong(out, entries.size.toLong)
-    entries.foreach { case (t, p) =>
-      writeString(out, t)
-      writeVarLong(out, p.block.toLong); writeVarLong(out, p.offset.toLong)
-      writeVarLong(out, p.length.toLong)
-    }
-    out.toByteArray
-  }
-
-  private def parseBlock(bytes: Array[Byte]): Vector[(String, BinPointer)] = {
-    val r = new PostingsCodec.Reader(bytes)
-    Vector.fill(r.readVarInt()) {
-      (r.readString(), BinPointer(r.readVarInt(), r.readVarInt(), r.readVarInt()))
-    }
-  }
-
-  /** Last entry index with term <= word (or 0 if word precedes all). */
-  private def floorIndex(terms: IndexedSeq[String], word: String): Int = {
-    var lo = 0; var hi = terms.size - 1
-    if (word < terms(0)) return 0
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (terms(mid) <= word) lo = mid else hi = mid - 1
-    }
-    lo
   }
 
   // ---- lookup ------------------------------------------------------------
@@ -123,7 +88,7 @@ final class SkipListIndex(
     val hit = blockCache.get(key)
     if (hit != null) return hit
     val bytes = store.getRange(RangeReq(levelBlobs(level), p.offset.toLong, p.length), ledger)
-    val entries = parseBlock(bytes)
+    val entries = new PostingsCodec.Reader(bytes).readEntries()
     if (cacheBlocks > 0) blockCache.put(key, entries)
     entries
   }
@@ -132,33 +97,21 @@ final class SkipListIndex(
     // Descend from the in-memory top directory: ONE dependent range read
     // per level (modulo cache hits), then the postings read.
     var level = levelBlobs.size - 1
-    var entries: Vector[(String, BinPointer)] =
-      topEntries.map { case (t, off, len) => (t, BinPointer(0, off.toInt, len)) }
+    var entries = topEntries
     while (level >= 0) {
-      val i = floorIndex(entries.map(_._1), word)
+      val i = ExactPostings.floorIndex(entries.map(_._1), word)
       entries = readBlock(level, entries(i)._2, ledger)
       level -= 1
     }
     entries.find(_._1 == word) match {
       case None => Vector.empty
-      case Some((_, ptr)) =>
-        val bytes = store.getRange(
-          RangeReq(built.blockBlobs(ptr.block), ptr.offset.toLong, ptr.length), ledger)
-        PostingsCodec.decode(bytes)
+      case Some((_, ptr)) => PostingsCodec.decode(store.getRange(built.rangeReq(ptr), ledger))
     }
   }
 
-  override def search(word: String, topK: Option[Int]): SearchResult = {
-    val ledger = new FetchLedger
-    val candidates = lookup(word, ledger)
-    val keep = DocFetcher.wordPredicate(word)
-    val r = topK match {
-      case Some(k) => DocFetcher.fetchTopK(store, built.docBlobs, candidates, keep,
-                                           k, f0 = 0.0, delta = 1e-6, ledger = ledger)
-      case None    => DocFetcher.fetchAndFilter(store, built.docBlobs, candidates, keep, ledger)
-    }
-    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
-  }
+  override def search(word: String, topK: Option[Int]): SearchResult =
+    DocFetcher.search(store, built.docBlobs, DocFetcher.wordPredicate(word), topK,
+                      f0 = 0.0, delta = 1e-6)(lookup(word, _))
 
   override def indexBytes: Long =
     levelBlobs.map(store.size).sum + built.bytesOf(store)

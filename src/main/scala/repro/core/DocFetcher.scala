@@ -13,6 +13,22 @@ object DocFetcher {
   /** Outcome of the retrieval + filtering step. */
   final case class Result(docs: Vector[Doc], fetched: Int, falsePositives: Int)
 
+  /** One query end to end: `lookup` resolves the candidates into a fresh
+    * ledger, then their documents are fetched — a sampled top-K fetch with
+    * `f0`/`delta` when `topK` is set — and filtered by `keep`.
+    */
+  def search(store: CloudStorage, docBlobs: Array[String], keep: String => Boolean,
+             topK: Option[Int], f0: Double, delta: Double)
+            (lookup: FetchLedger => IndexedSeq[Posting]): SearchResult = {
+    val ledger = new FetchLedger
+    val candidates = lookup(ledger)
+    val r = topK match {
+      case Some(k) => fetchTopK(store, docBlobs, candidates, keep, k, f0, delta, ledger)
+      case None    => fetchAndFilter(store, docBlobs, candidates, keep, ledger)
+    }
+    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
+  }
+
   /** Fetch all `candidates` and keep those whose text satisfies `keep`. */
   def fetchAndFilter(store: CloudStorage, docBlobs: Array[String],
                      candidates: IndexedSeq[Posting], keep: String => Boolean,

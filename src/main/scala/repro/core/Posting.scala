@@ -24,10 +24,12 @@ final case class Posting(blobId: Int, offset: Long, length: Int) extends Ordered
 
 object Posting {
   /** Intersection of sorted, duplicate-free postings lists (the IoU in
-    * IoU Sketch). Linear merge over all lists at once.
+    * IoU Sketch). Linear merge over all lists at once; a single list is
+    * returned as it is.
     */
   def intersectSorted(lists: Seq[IndexedSeq[Posting]]): Vector[Posting] = {
     if (lists.isEmpty) return Vector.empty
+    if (lists.size == 1) return lists.head.toVector
     if (lists.exists(_.isEmpty)) return Vector.empty
     val sortedLists = lists.sortBy(_.size)
     val smallest = sortedLists.head

@@ -1,6 +1,14 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
+import java.io.ByteArrayOutputStream
+
+/** Pointer to one encoded postings list inside a block blob: (block id,
+  * byte offset, byte length), readable in a single round trip (§IV-C).
+  * MHT bins, common words and the baselines' dictionaries all use it.
+  */
+final case class BinPointer(block: Int, offset: Int, length: Int) {
+  require(block >= 0 && offset >= 0 && length >= 0)
+}
 
 /** Compact binary serialization of superposts and header metadata.
   *
@@ -44,12 +52,29 @@ object PostingsCodec {
       val n = readVarInt()
       val s = new String(bytes, pos, n, "UTF-8"); pos += n; s
     }
+    def readPointer(): BinPointer = BinPointer(readVarInt(), readVarInt(), readVarInt())
+    /** An entry list written by [[writeEntries]]; throws if the bytes end early. */
+    def readEntries(): Vector[(String, BinPointer)] =
+      Vector.fill(readVarInt())((readString(), readPointer()))
   }
 
   def writeString(out: ByteArrayOutputStream, s: String): Unit = {
     val b = s.getBytes("UTF-8")
     writeVarLong(out, b.length.toLong)
     out.write(b, 0, b.length)
+  }
+
+  def writePointer(out: ByteArrayOutputStream, p: BinPointer): Unit = {
+    writeVarLong(out, p.block.toLong); writeVarLong(out, p.offset.toLong)
+    writeVarLong(out, p.length.toLong)
+  }
+
+  /** A (term, pointer) list: count, then each term and its pointer. The
+    * MHT's common words, skip-list blocks and B-tree leaves are entry lists.
+    */
+  def writeEntries(out: ByteArrayOutputStream, entries: Seq[(String, BinPointer)]): Unit = {
+    writeVarLong(out, entries.size.toLong)
+    entries.foreach { case (t, p) => writeString(out, t); writePointer(out, p) }
   }
 
   // ---- superpost codec ---------------------------------------------------

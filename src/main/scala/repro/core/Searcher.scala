@@ -37,26 +37,31 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
   private val k: Int = waitLayers.getOrElse(mht.layers)
   require(k >= 1 && k <= mht.layers, s"waitLayers must be in [1, ${mht.layers}]")
 
+  /** The reads one word needs: its common-word exact postings list, its L
+    * superposts, or nothing when some layer's bin is empty, which proves
+    * the word is absent from the corpus.
+    */
+  private def plan(word: String): IndexedSeq[BinPointer] =
+    mht.commonWords.get(word) match {
+      case Some(ptr) => Vector(ptr)
+      case None      => mht.pointersFor(word).getOrElse(Vector.empty)
+    }
+
+  /** A word's final postings list from the lists its plan fetched: the
+    * exact list itself, or the superposts' intersection.
+    */
+  private def resolve(lists: Seq[Array[Byte]]): Vector[Posting] =
+    Posting.intersectSorted(lists.map(PostingsCodec.decode))
+
   /** Term-index lookup (the paper's Fig. 14 observable): resolve the final
-    * postings list for `word` — common-word exact fetch, or the
-    * batch-fetch-then-intersect of IoU Sketch.
+    * postings list for `word` with one concurrent batch. A replicated
+    * sketch waits for the fastest `waitLayers` of the word's superposts.
     */
   def lookup(word: String, ledger: FetchLedger): Vector[Posting] = {
-    mht.commonWords.get(word) match {
-      case Some(ptr) =>
-        val bytes = store.getRangesParallel(Seq(mht.rangeReq(ptr)), ledger)
-        PostingsCodec.decode(bytes.head)
-      case None =>
-        mht.pointersFor(word) match {
-          case None => Vector.empty // some layer's bin is empty: word not in corpus
-          case Some(ptrs) =>
-            val reqs = ptrs.map(mht.rangeReq)
-            val superposts: Seq[Vector[Posting]] =
-              if (k == ptrs.size) store.getRangesParallel(reqs, ledger).map(PostingsCodec.decode)
-              else store.getRangesKofN(reqs, k, ledger).map { case (_, b) => PostingsCodec.decode(b) }
-            Posting.intersectSorted(superposts.map(v => v: IndexedSeq[Posting]))
-        }
-    }
+    val reqs = plan(word).map(mht.rangeReq)
+    if (reqs.isEmpty) Vector.empty
+    else if (reqs.size > k) resolve(store.getRangesKofN(reqs, k, ledger).map(_._2))
+    else resolve(store.getRangesParallel(reqs, ledger))
   }
 
   /** End-to-end search: lookup → fetch documents → exact filter.
@@ -64,56 +69,27 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
     * taken from the given config.
     */
   def search(word: String, topK: Option[Int] = None,
-             config: IoUConfig = IoUConfig()): SearchResult = {
-    val ledger = new FetchLedger
-    val candidates = lookup(word, ledger)
-    val keep = DocFetcher.wordPredicate(word)
-    val r = topK match {
-      case Some(kk) => DocFetcher.fetchTopK(store, mht.docBlobs, candidates, keep,
-                                            kk, config.f0, config.topKDelta, ledger)
-      case None     => DocFetcher.fetchAndFilter(store, mht.docBlobs, candidates, keep, ledger)
-    }
-    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
-  }
+             config: IoUConfig = IoUConfig()): SearchResult =
+    DocFetcher.search(store, mht.docBlobs, DocFetcher.wordPredicate(word), topK,
+                      config.f0, config.topKDelta)(lookup(word, _))
 
   /** Boolean query (§IV-F): Q(∨_i ∧_j w_ij) = ∪_i ∩_j Q(w_ij). All term
     * superposts across the whole expression are fetched in ONE concurrent
     * batch; set algebra and the final exact filter follow.
     */
-  def searchBoolean(query: BoolQuery, config: IoUConfig = IoUConfig()): SearchResult = {
-    val ledger = new FetchLedger
-    val terms = BoolQuery.terms(query).toSeq.sorted
-    val perTerm: Map[String, Vector[Posting]] = lookupBatch(terms, ledger)
-    val candidates = BoolQuery.candidates(query, perTerm)
-    val keep: String => Boolean = t => BoolQuery.matches(query, t)
-    val r = DocFetcher.fetchAndFilter(store, mht.docBlobs, candidates, keep, ledger)
-    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
-  }
+  def searchBoolean(query: BoolQuery, config: IoUConfig = IoUConfig()): SearchResult =
+    DocFetcher.search(store, mht.docBlobs, BoolQuery.matches(query, _), None,
+                      config.f0, config.topKDelta) { ledger =>
+      BoolQuery.candidates(query, lookupBatch(BoolQuery.terms(query).toSeq.sorted, ledger))
+    }
 
   /** Resolve several words' final postings lists with a single batch of
-    * concurrent superpost reads.
+    * concurrent superpost reads (every read awaited).
     */
   def lookupBatch(words: Seq[String], ledger: FetchLedger): Map[String, Vector[Posting]] = {
-    // Gather (word -> its superpost requests); one flat concurrent batch.
-    val plans = words.map { w =>
-      mht.commonWords.get(w) match {
-        case Some(ptr) => (w, Vector(ptr), true)
-        case None => mht.pointersFor(w) match {
-          case None       => (w, Vector.empty[BinPointer], false)
-          case Some(ptrs) => (w, ptrs.toVector, false)
-        }
-      }
-    }
-    val flat = plans.flatMap { case (_, ptrs, _) => ptrs }.map(mht.rangeReq)
-    val fetched = store.getRangesParallel(flat, ledger).iterator
-    plans.map { case (w, ptrs, isCommon) =>
-      val lists = ptrs.map(_ => PostingsCodec.decode(fetched.next()))
-      val finalList =
-        if (ptrs.isEmpty) Vector.empty[Posting]
-        else if (isCommon) lists.head
-        else Posting.intersectSorted(lists.map(v => v: IndexedSeq[Posting]))
-      w -> finalList
-    }.toMap
+    val plans = words.map(plan)
+    val fetched = store.getRangesParallel(plans.flatten.map(mht.rangeReq), ledger).iterator
+    words.zip(plans).map { case (w, ptrs) => w -> resolve(ptrs.map(_ => fetched.next())) }.toMap
   }
 }
 

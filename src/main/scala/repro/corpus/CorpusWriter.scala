@@ -1,5 +1,6 @@
 package repro.corpus
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.cloudstore.CloudStorage
@@ -22,6 +23,9 @@ object CorpusWriter {
     * `bucket` under `prefix`, as `numBlobs` newline-delimited blobs.
     * The target store must already be registered under `bucket` in
     * [[CloudStorage.named]].
+    *
+    * @throws IllegalArgumentException naming the doc_id of a text that
+    *         contains `\n`, which would read back as two documents
     */
   def write(spark: SparkSession, docs: DataFrame, bucket: String, prefix: String,
             numBlobs: Int = 8): DataFrame = {
@@ -42,6 +46,8 @@ object CorpusWriter {
         it.foreach { row =>
           val id = row.getLong(0)
           val text = row.getString(1)
+          require(text.indexOf('\n') < 0,
+                  s"doc_id $id: text contains '\\n', the corpus blobs' document delimiter")
           val bytes = text.getBytes("UTF-8")
           rows += ((id, blobName, buf.size().toLong, bytes.length, text))
           buf.write(bytes)
@@ -61,7 +67,13 @@ object CorpusWriter {
     // Materialise now: the side effect (blob uploads) must happen exactly
     // once, not on every downstream action.
     placed.cache()
-    placed.count()
+    try placed.count()
+    catch {
+      // Report a rejected document as such, not as a failed Spark job.
+      case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] =>
+        placed.unpersist()
+        throw e.getCause
+    }
     placed
   }
 }

@@ -1,6 +1,5 @@
 package repro.datasource
 
-import java.nio.charset.StandardCharsets
 import java.util
 
 import org.apache.spark.sql.catalyst.InternalRow
@@ -12,9 +11,9 @@ import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{Posting, Searcher}
-import repro.corpus.Parsers
+import repro.cloudstore.{CloudStorage, FetchLedger}
+import repro.core.{DocFetcher, Posting, Searcher}
+import repro.corpus.{Doc, DocRef, Parsers}
 
 import scala.jdk.CollectionConverters._
 
@@ -182,34 +181,28 @@ private[datasource] object AirphantRows {
   /** Fetches a slice of candidate documents in one concurrent batch and
     * keeps only exact matches (false positives die here).
     */
-  def keyword(p: KeywordPartition): Iterator[InternalRow] = {
-    val store = CloudStorage.named(p.bucket)
-    val reqs = p.postings.toIndexedSeq.map(po => RangeReq(p.docBlobs(po.blobId), po.offset, po.length))
-    val bytes = store.getRangesParallel(reqs, new FetchLedger)
-    reqs.iterator.zip(bytes).flatMap { case (req, b) =>
-      val text = new String(b, StandardCharsets.UTF_8)
-      if (Parsers.containsWord(text, p.word)) Some(row(p.word, req, text)) else None
-    }
-  }
+  def keyword(p: KeywordPartition): Iterator[InternalRow] =
+    DocFetcher.fetchAndFilter(CloudStorage.named(p.bucket), p.docBlobs, p.postings.toIndexedSeq,
+                              DocFetcher.wordPredicate(p.word), new FetchLedger)
+      .docs.iterator.map(row(p.word, _))
 
   /** Reads one corpus blob fully, splits documents, explodes words. */
   def fullScan(p: FullScanPartition): Iterator[InternalRow] = {
     val store = CloudStorage.named(p.bucket)
     val bytes = store.get(p.blob, new FetchLedger)
     Parsers.splitBlob(bytes).iterator.flatMap { case (off, len, text) =>
-      Parsers.distinctWords(text).toSeq.sorted.iterator.map { w =>
-        row(w, RangeReq(p.blob, off, len), text)
-      }
+      val doc = Doc(DocRef(p.blob, off, len), text)
+      Parsers.distinctWords(text).toSeq.sorted.iterator.map(row(_, doc))
     }
   }
 
-  def row(word: String, req: RangeReq, text: String): InternalRow =
+  def row(word: String, doc: Doc): InternalRow =
     InternalRow(
       UTF8String.fromString(word),
-      UTF8String.fromString(s"${req.blob}:${req.offset}"),
-      UTF8String.fromString(req.blob),
-      req.offset,
-      req.length,
-      UTF8String.fromString(text),
+      UTF8String.fromString(doc.ref.docId),
+      UTF8String.fromString(doc.ref.blob),
+      doc.ref.offset,
+      doc.ref.length,
+      UTF8String.fromString(doc.text),
     )
 }

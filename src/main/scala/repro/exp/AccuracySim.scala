@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.{IoUConfig, IoUMath, IoUSketch}
-import repro.corpus.CorpusProfile
+import repro.corpus.{CorpusProfile, Parsers}
 
 /** In-memory accuracy simulation for the (B, L) sweeps (paper Figures 5,
   * 10a, 16a): build a pure IoU Sketch (no storage, no common-word bins —
@@ -17,9 +17,7 @@ object AccuracySim {
   /** Collect the corpus's exact word → document-key postings. */
   def wordDocs(spark: SparkSession, docs: DataFrame): Map[String, Array[Long]] = {
     import spark.implicits._
-    docs
-      .select($"doc_id", explode(array_distinct(split($"text", "\\s+"))) as "word")
-      .filter(length($"word") > 0)
+    Parsers.wordRows(docs, distinct = true, $"doc_id")
       .groupBy($"word")
       .agg(collect_list($"doc_id") as "docs")
       .as[(String, Seq[Long])]

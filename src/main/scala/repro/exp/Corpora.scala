@@ -1,10 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 import repro.cloudstore.{CloudStorage, LocalCloudStorage, NetworkModel}
-import repro.corpus.{CorpusGen, CorpusProfile, CorpusWriter, LogCorpusGen}
+import repro.corpus.{CorpusGen, CorpusProfile, CorpusWriter, LogCorpusGen, Parsers}
 
 /** A corpus materialised on (simulated) cloud storage, ready to index.
   *
@@ -41,9 +40,7 @@ object Corpora {
     CloudStorage.register(bucket, store)
     val docs = CorpusWriter.write(spark, raw, bucket, name, numBlobs)
     val profile = CorpusProfile.profile(spark, docs, maxTopWords)
-    val vocab = docs
-      .select(explode(split($"text", "\\s+")) as "word")
-      .filter(length($"word") > 0)
+    val vocab = Parsers.wordRows(docs, distinct = false)
       .distinct().as[String].collect().sorted
     BuiltCorpus(name, bucket, store, docs, profile, vocab)
   }

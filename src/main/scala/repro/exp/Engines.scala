@@ -6,14 +6,14 @@ import repro.baselines._
 import repro.core.{Builder, IoUConfig}
 
 /** The five engines of the paper's evaluation (§V-A0b), built over one
-  * corpus. AIRPHANT and HashTable share the Builder (the latter with
-  * L = 1 forced); the skip-list, B-tree and Elasticsearch-like engines
-  * share one exact-postings substrate; everyone shares the document
-  * retrieval routine.
+  * corpus. AIRPHANT and HashTable are one engine class over the same
+  * Builder (the latter with L = 1 forced); the skip-list, B-tree and
+  * Elasticsearch-like engines share one exact-postings substrate; everyone
+  * shares the document retrieval routine.
   */
 final case class EngineSet(
     airphant: AirphantEngine,
-    hashTable: HashTableEngine,
+    hashTable: AirphantEngine,
     skipList: SkipListIndex,
     bTree: BTreeIndex,
     elastic: ElasticLike,
@@ -36,16 +36,16 @@ object Engines {
   def build(spark: SparkSession, corpus: BuiltCorpus,
             config: IoUConfig = benchConfig): EngineSet = {
     val profile = Some(corpus.profile)
+    val htConfig = config.copy(layersOverride = Some(1))
     val air = Builder.build(spark, corpus.docs, corpus.bucket, "airphant", config, profile)
-    val ht = Builder.build(spark, corpus.docs, corpus.bucket, "hashtable",
-                           config.copy(layersOverride = Some(1)), profile)
+    val ht = Builder.build(spark, corpus.docs, corpus.bucket, "hashtable", htConfig, profile)
     val exact = ExactPostings.build(spark, corpus.docs, corpus.bucket, "exact")
     val sl = new SkipListIndex(corpus.store, exact, corpus.bucket, "skiplist")
     val bt = new BTreeIndex(corpus.store, exact, corpus.bucket, "btree")
     val es = new ElasticLike(corpus.store, sl, corpus.bucket, "elastic")
     EngineSet(
       new AirphantEngine(corpus.store, air, config),
-      new HashTableEngine(corpus.store, ht, config.copy(layersOverride = Some(1))),
+      new AirphantEngine(corpus.store, ht, htConfig),
       sl, bt, es)
   }
 }

@@ -130,10 +130,11 @@ class BaselinesSpec extends SparkSpec {
     engines.all.foreach(e => assert(e.indexBytes > 0, e.name))
   }
 
-  test("HashTableEngine refuses a multi-layer sketch") {
-    intercept[IllegalArgumentException] {
-      new HashTableEngine(corpus.store, engines.airphant.built, config)
-    }
+  test("Engines.build gives the hash table an L=1 AirphantEngine") {
+    assert(engines.hashTable.built.layers == 1)
+    assert(engines.hashTable.name == "HashTable (IoU, L=1)")
+    assert(engines.airphant.built.layers > 1)
+    assert(engines.airphant.name == "Airphant (IoU Sketch)")
   }
 
   test("engine names are distinct (display labels)") {

@@ -1,12 +1,41 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
+
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalactic.Tolerance._
 
 import repro.{Oracle, SparkSpec}
-import repro.cloudstore.{CloudStorage, FetchLedger, LocalCloudStorage, NetworkModel}
+import repro.cloudstore.{CloudStorage, FetchLedger, LocalCloudStorage, NetworkModel, RangeReq}
 import repro.corpus.{CorpusGen, CorpusWriter, Parsers}
+
+/** Delegating store that records each read call as (method, ranges
+  * requested, ranges awaited).
+  */
+final class RecordingStore(inner: CloudStorage) extends CloudStorage {
+  val calls = ArrayBuffer.empty[(String, Int, Int)]
+
+  def requests: Int = calls.map(_._2).sum
+
+  override def put(name: String, bytes: Array[Byte]): Unit = inner.put(name, bytes)
+  override def size(name: String): Long = inner.size(name)
+  override def list(): Seq[String] = inner.list()
+  override def getNoCost(name: String): Array[Byte] = inner.getNoCost(name)
+  override def get(name: String, ledger: FetchLedger): Array[Byte] = {
+    calls += (("get", 1, 1)); inner.get(name, ledger)
+  }
+  override def getRange(req: RangeReq, ledger: FetchLedger): Array[Byte] = {
+    calls += (("range", 1, 1)); inner.getRange(req, ledger)
+  }
+  override def getRangesParallel(reqs: Seq[RangeReq], ledger: FetchLedger): Seq[Array[Byte]] = {
+    calls += (("parallel", reqs.size, reqs.size)); inner.getRangesParallel(reqs, ledger)
+  }
+  override def getRangesKofN(reqs: Seq[RangeReq], k: Int,
+                             ledger: FetchLedger): Seq[(Int, Array[Byte])] = {
+    calls += (("kofn", reqs.size, k)); inner.getRangesKofN(reqs, k, ledger)
+  }
+}
 
 /** End-to-end Builder → persisted IoU Sketch → Searcher correctness.
   * Every result-bearing test is cross-checked against DuckDB evaluating
@@ -33,6 +62,10 @@ class BuilderSearcherSpec extends SparkSpec {
     Builder.build(spark, docs, bucket, "iou", config)
 
   private lazy val searcher = new Searcher(store, built.headerBlob)
+
+  /** The sketch with two replica layers (L+ = L* + 2, §IV-G). */
+  private lazy val replicated: Builder.BuiltSketch =
+    Builder.build(spark, docs, bucket, "iourep", config.copy(extraLayers = 2))
 
   /** (word, doc_id) relation where doc_id = "blob:offset" (the posting id). */
   private lazy val postingsDf: DataFrame = {
@@ -98,6 +131,39 @@ class BuilderSearcherSpec extends SparkSpec {
     val st = ledger.stats
     assert(st.roundTripSteps == 1)
     assert(st.waitMs === 50.0 +- 1e-6) // one wave of L parallel requests
+  }
+
+  test("lookup and lookupBatch resolve common, regular and absent words alike") {
+    val rec = new RecordingStore(store)
+    val s = new Searcher(rec, built.headerBlob)
+    val common = s.mht.commonWords.keys.min
+    val regular = vocab.find(w => !s.mht.commonWords.contains(w)).get
+    val absent = (0 until 200).map(i => s"unknown-word-$i").find(s.mht.pointersFor(_).isEmpty).get
+    Seq(common -> 1, regular -> built.layers, absent -> 0).foreach { case (w, reads) =>
+      val (l1, l2) = (new FetchLedger, new FetchLedger)
+      rec.calls.clear()
+      val single = s.lookup(w, l1)
+      val singleRequests = rec.requests
+      rec.calls.clear()
+      val batch = s.lookupBatch(Seq(w), l2)(w)
+      assert(single == batch, w)
+      assert(l1.stats == l2.stats, w)
+      assert(singleRequests == reads && rec.requests == reads, w)
+    }
+  }
+
+  test("a replicated lookup sends all L+ reads and waits for the fastest L*") {
+    val rec = new RecordingStore(store)
+    val sRep = new Searcher(rec, replicated.headerBlob, waitLayers = Some(replicated.optimizedLayers))
+    val w = vocab.find(w => !sRep.mht.commonWords.contains(w)).get
+    rec.calls.clear()
+    val fastest = sRep.lookup(w, new FetchLedger)
+    assert(rec.calls == Seq(("kofn", replicated.layers, replicated.optimizedLayers)))
+    // A batch lookup awaits every layer; the fastest L* give a superset.
+    rec.calls.clear()
+    val all = sRep.lookupBatch(Seq(w), new FetchLedger)(w)
+    assert(rec.calls == Seq(("parallel", replicated.layers, replicated.layers)))
+    assert(all.toSet.subsetOf(fastest.toSet))
   }
 
   test("end-to-end search is at most lookup + one doc batch (+ top-K fallback)") {
@@ -227,8 +293,7 @@ class BuilderSearcherSpec extends SparkSpec {
   }
 
   test("replication (§IV-G): L+ layers, wait for L*, still exact after filter") {
-    val cfgR = config.copy(extraLayers = 2)
-    val rep = Builder.build(spark, docs, bucket, "iourep", cfgR)
+    val rep = replicated
     assert(rep.layers == rep.optimizedLayers + 2)
     val sRep = new Searcher(store, rep.headerBlob, waitLayers = Some(rep.optimizedLayers))
     vocab.take(40).foreach { w =>

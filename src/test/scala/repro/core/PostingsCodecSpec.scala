@@ -68,6 +68,29 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     strings.foreach(s => assert(r.readString() == s))
   }
 
+  test("pointer and entry-list codecs round trip, up to Int.MaxValue fields") {
+    val max = BinPointer(Int.MaxValue, Int.MaxValue, Int.MaxValue)
+    val ptrs = Seq(BinPointer(0, 0, 0), max, BinPointer(3, Int.MaxValue, 1))
+    val entries = Seq("" -> BinPointer(1, 2, 3), "héllo" -> max, "zz" -> BinPointer(0, 0, 0))
+    val out = new java.io.ByteArrayOutputStream()
+    ptrs.foreach(PostingsCodec.writePointer(out, _))
+    PostingsCodec.writeEntries(out, entries)
+    val r = new PostingsCodec.Reader(out.toByteArray)
+    ptrs.foreach(p => assert(r.readPointer() == p))
+    assert(r.readEntries() == entries)
+    assert(r.remaining == 0)
+  }
+
+  test("a truncated entry list throws instead of returning a short list") {
+    val out = new java.io.ByteArrayOutputStream()
+    PostingsCodec.writeEntries(out, Seq("alpha" -> BinPointer(1, 200, 300),
+                                        "beta" -> BinPointer(Int.MaxValue, 5, 6)))
+    val bytes = out.toByteArray
+    (0 until bytes.length).foreach { n =>
+      intercept[IndexOutOfBoundsException](new PostingsCodec.Reader(bytes.take(n)).readEntries())
+    }
+  }
+
   test("posting ordering is (blobId, offset) lexicographic") {
     assert(Posting(0, 5, 1) < Posting(0, 6, 1))
     assert(Posting(0, 999, 1) < Posting(1, 0, 1))

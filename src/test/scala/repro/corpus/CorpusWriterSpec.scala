@@ -73,6 +73,15 @@ class CorpusWriterSpec extends SparkSpec {
     CloudStorage.unregister("cw-5")
   }
 
+  test("a text containing a newline is rejected, naming its doc_id") {
+    import spark.implicits._
+    setup("cw-7")
+    val raw = Seq((1L, "one line"), (2L, "two\nlines"), (3L, "three")).toDF("doc_id", "text")
+    val e = intercept[IllegalArgumentException](CorpusWriter.write(spark, raw, "cw-7", "c", 2))
+    assert(e.getMessage.contains("doc_id 2"), e.getMessage)
+    CloudStorage.unregister("cw-7")
+  }
+
   test("offsets within each blob are strictly increasing with doc order") {
     import spark.implicits._
     setup("cw-6")

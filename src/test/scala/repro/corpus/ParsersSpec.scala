@@ -1,11 +1,10 @@
 package repro.corpus
 
-import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 
-import repro.GenChecks
+import repro.{GenChecks, SparkSpec}
 
-class ParsersSpec extends AnyFunSuite with GenChecks {
+class ParsersSpec extends SparkSpec with GenChecks {
 
   test("whitespace analyzer splits on runs of whitespace, keeps tokens verbatim") {
     assert(Parsers.words("hello world").toSeq == Seq("hello", "world"))
@@ -13,6 +12,33 @@ class ParsersSpec extends AnyFunSuite with GenChecks {
     assert(Parsers.words("Hello HELLO").toSeq == Seq("Hello", "HELLO")) // no lowercasing
     assert(Parsers.words("").isEmpty)
     assert(Parsers.words("   ").isEmpty)
+    // The no-break space is a word character, as in Lucene's analyzer.
+    assert(Parsers.words("a\u00A0b \u00A0").toSeq == Seq("a\u00A0b", "\u00A0"))
+  }
+
+  test("the JVM and Spark forms of the tokenizer give the same words") {
+    import spark.implicits._
+    val blank = Gen.oneOf(" ", "\t", "\n", "\r", "\f", "\u000B", "\r\n", "  ")
+    val word = Gen.oneOf("a", "Zz", "wörd", "x1", "\u00A0", "a\u00A0b", "日本")
+    val genText = Gen.frequency(
+      1 -> Gen.const(""),
+      2 -> Gen.listOf(blank).map(_.mkString),
+      10 -> Gen.listOf(Gen.oneOf(blank, word)).map(_.mkString))
+    val fixed = Seq("", " ", "\t\n\r\f\u000B", " lead", "trail\n", "\u000Bmid\fdle\r",
+                    "\u00A0", "a \u00A0 b", "dup dup\tdup")
+    forAllG(Gen.listOfN(150, genText), trials = 3) { generated =>
+      val texts = (fixed ++ generated).toIndexedSeq
+      val df = texts.zipWithIndex.map { case (t, i) => (i.toLong, t) }.toDF("doc_id", "text")
+      Seq(false, true).foreach { distinct =>
+        val rows = Parsers.wordRows(df, distinct, $"doc_id").as[(Long, String)].collect()
+        val byDoc = rows.groupBy(_._1).view.mapValues(_.map(_._2).toSeq).toMap
+        texts.indices.foreach { i =>
+          val jvm = Parsers.words(texts(i)).toSeq
+          val want = if (distinct) jvm.distinct else jvm
+          assert(byDoc.getOrElse(i.toLong, Nil) == want, s"text ${texts(i).map(_.toInt)}")
+        }
+      }
+    }
   }
 
   test("distinctWords deduplicates") {
